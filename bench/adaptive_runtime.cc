@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench/sweep.h"
 #include "src/sim/parallel.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
@@ -29,8 +30,11 @@ int
 main(int argc, char **argv)
 {
     ga::GaConfig ga_cfg;
-    ga_cfg.generations = argc > 1 ? std::atoi(argv[1]) : 6;
-    ga_cfg.populationSize = argc > 2 ? std::atoi(argv[2]) : 12;
+    const char *usage = "[generations] [population]";
+    ga_cfg.generations = bench::positiveArg(argc, argv, 1, 6, usage);
+    // The population must outnumber the elites carried over.
+    ga_cfg.populationSize = bench::positiveArg(
+        argc, argv, 2, 12, usage, ga_cfg.eliteCount + 1);
 
     std::printf("%s", sim::tableIiBanner().c_str());
     std::printf("# SIV-C online operation: static vs one-shot GA vs "

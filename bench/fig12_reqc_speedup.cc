@@ -63,8 +63,8 @@ burstyBudget(Cycle period)
 int
 main(int argc, char **argv)
 {
-    if (argc > 1)
-        g_cs_interval = static_cast<Cycle>(std::atol(argv[1]));
+    g_cs_interval = bench::positiveArg(argc, argv, 1, g_cs_interval,
+                                       "[cs-interval-cycles]");
     std::printf("%s", sim::tableIiBanner().c_str());
     std::printf("# Figure 12: ReqC speedup vs static 1 GB/s rate "
                 "limiter (single program, same average budget)\n");

@@ -51,8 +51,11 @@ main(int argc, char **argv)
     ga::GaConfig ga_cfg;
     // Per-core genomes (4 cores x 20 genes) need a bigger search than
     // the shared-config default would.
-    ga_cfg.generations = argc > 1 ? std::atoi(argv[1]) : 8;
-    ga_cfg.populationSize = argc > 2 ? std::atoi(argv[2]) : 14;
+    const char *usage = "[generations] [population]";
+    ga_cfg.generations = bench::positiveArg(argc, argv, 1, 8, usage);
+    // The population must outnumber the elites carried over.
+    ga_cfg.populationSize = bench::positiveArg(
+        argc, argv, 2, 14, usage, ga_cfg.eliteCount + 1);
 
     std::printf("%s", sim::tableIiBanner().c_str());
     std::printf("# Figure 13: program average slowdown vs unprotected "

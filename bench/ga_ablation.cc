@@ -29,8 +29,11 @@ int
 main(int argc, char **argv)
 {
     ga::GaConfig ga_cfg;
-    ga_cfg.generations = argc > 1 ? std::atoi(argv[1]) : 10;
-    ga_cfg.populationSize = argc > 2 ? std::atoi(argv[2]) : 16;
+    const char *usage = "[generations] [population]";
+    ga_cfg.generations = bench::positiveArg(argc, argv, 1, 10, usage);
+    // The population must outnumber the elites carried over.
+    ga_cfg.populationSize = bench::positiveArg(
+        argc, argv, 2, 16, usage, ga_cfg.eliteCount + 1);
 
     std::printf("%s", sim::tableIiBanner().c_str());
     std::printf("# SIV-C: online GA, %zu generations x %zu children, "

@@ -57,6 +57,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "src/common/frame.h"
 #include "src/common/logging.h"
 #include "src/obs/benchdiff.h"
 #include "src/obs/json.h"
@@ -517,9 +518,9 @@ abuseThread(const std::string &socket, std::atomic<bool> &stop,
             break;
           }
           case 1: { // length-correct frame, payload not JSON
-            std::string frame;
-            server::encodeFrame("}{ not json", &frame);
-            (void)::send(fd, frame.data(), frame.size(),
+            std::string wire;
+            frame::encode("}{ not json", &wire);
+            (void)::send(fd, wire.data(), wire.size(),
                          MSG_NOSIGNAL);
             break;
           }
@@ -530,9 +531,9 @@ abuseThread(const std::string &socket, std::atomic<bool> &stop,
             break;
           }
           case 3: { // valid JSON, but not a request object
-            std::string frame;
-            server::encodeFrame("42", &frame);
-            (void)::send(fd, frame.data(), frame.size(),
+            std::string wire;
+            frame::encode("42", &wire);
+            (void)::send(fd, wire.data(), wire.size(),
                          MSG_NOSIGNAL);
             break;
           }

@@ -13,6 +13,10 @@
 #ifndef CAMO_BENCH_SWEEP_H
 #define CAMO_BENCH_SWEEP_H
 
+#include <cerrno>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "src/sim/parallel.h"
@@ -26,6 +30,34 @@ inline std::vector<sim::RunMetrics>
 sweep(const std::vector<SimJob> &jobs, unsigned num_jobs = 0)
 {
     return sim::runConfigsParallel(jobs, num_jobs);
+}
+
+/**
+ * argv[index] as an integer >= `min` (a positive integer by default),
+ * or `fallback` when the argument is absent. Anything else (empty,
+ * signed, trailing junk, out of range) prints a usage error and exits
+ * 2 before any simulation starts.
+ */
+inline std::uint64_t
+positiveArg(int argc, char **argv, int index, std::uint64_t fallback,
+            const char *usage, std::uint64_t min = 1)
+{
+    if (index >= argc)
+        return fallback;
+    const char *s = argv[index];
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(s, &end, 10);
+    if (*s < '0' || *s > '9' || *end != '\0' || errno == ERANGE ||
+        v < min) {
+        std::fprintf(stderr,
+                     "%s: argument %d must be an integer >= %llu, got "
+                     "'%s'\nusage: %s %s\n",
+                     argv[0], index, static_cast<unsigned long long>(min),
+                     s, argv[0], usage);
+        std::exit(2);
+    }
+    return v;
 }
 
 } // namespace camo::bench

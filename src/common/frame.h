@@ -3,12 +3,12 @@
  * Length-prefixed byte frames over file descriptors.
  *
  * The one wire encoding shared by every process boundary in the
- * simulator: camosimd's worker/child protocol (src/server/protocol.h
- * delegates here) and the multi-process sweep shards
- * (src/sim/shard.h). A frame is a 4-byte little-endian payload length
- * followed by the payload; a length above the caller's cap is
- * rejected before any allocation, so a corrupt or adversarial peer
- * cannot make the reader balloon.
+ * simulator: camosimd's socket protocol (src/server/protocol.h) and
+ * the result pipe of every forked child (src/common/child.h, used by
+ * the daemon's worker and the sweep shards). A frame is a 4-byte
+ * little-endian payload length followed by the payload; a length
+ * above the caller's cap is rejected before any allocation, so a
+ * corrupt or adversarial peer cannot make the reader balloon.
  */
 
 #ifndef CAMO_COMMON_FRAME_H

@@ -4,51 +4,18 @@
 
 namespace camo::server {
 
-// The wire encoding lives in src/common/frame.* so the sweep-shard
-// protocol (src/sim/shard.*) shares it; this translation unit keeps
-// the server-facing API stable.
-
-void
-encodeFrame(const std::string &payload, std::string *out)
-{
-    frame::encode(payload, out);
-}
-
-std::uint32_t
-decodeFrameLength(const unsigned char *header)
-{
-    return frame::decodeLength(header);
-}
-
-bool
-writeFrame(int fd, const std::string &payload)
-{
-    return frame::writeFrame(fd, payload, kMaxFrameBytes);
-}
-
-ReadStatus
-readFrame(int fd, std::string *payload)
-{
-    switch (frame::readFrame(fd, payload, kMaxFrameBytes)) {
-      case frame::ReadStatus::Ok: return ReadStatus::Ok;
-      case frame::ReadStatus::Eof: return ReadStatus::Eof;
-      case frame::ReadStatus::Error: return ReadStatus::Error;
-      case frame::ReadStatus::Oversize: return ReadStatus::Oversize;
-    }
-    return ReadStatus::Error;
-}
-
 bool
 writeJson(int fd, const obs::json::Value &doc)
 {
-    return writeFrame(fd, doc.dump());
+    return frame::writeFrame(fd, doc.dump(), kMaxFrameBytes);
 }
 
 std::optional<obs::json::Value>
 readJson(int fd)
 {
     std::string payload;
-    if (readFrame(fd, &payload) != ReadStatus::Ok)
+    if (frame::readFrame(fd, &payload, kMaxFrameBytes) !=
+        frame::ReadStatus::Ok)
         return std::nullopt;
     return obs::json::tryParse(payload);
 }

@@ -3,17 +3,18 @@
  * Wire protocol of the camosimd experiment service: length-prefixed
  * JSON frames over a local Unix-domain stream socket.
  *
- * A frame is a 4-byte little-endian payload length followed by that
- * many bytes of UTF-8 JSON. Requests are objects with an "op" key
- * (submit, status, result, cancel, stats, drain, reload); responses
- * are objects with an "ok" bool and, on failure, an "error" string.
+ * A frame is a camo::frame (src/common/frame.h): a 4-byte
+ * little-endian payload length followed by that many bytes of UTF-8
+ * JSON. Requests are objects with an "op" key (submit, status,
+ * result, cancel, stats, drain, reload); responses are objects with
+ * an "ok" bool and, on failure, an "error" string.
  * Frames above kMaxFrameBytes are a protocol violation: the daemon
  * answers with an error and drops the connection instead of
  * allocating attacker-controlled buffers.
  *
- * All I/O helpers here are blocking-fd oriented (client side and
+ * The JSON helpers here are blocking-fd oriented (client side and
  * tests); the daemon's poll loop does its own incremental buffering
- * and uses only the encode/decode halves.
+ * with frame::encode and frame::decodeLength.
  */
 
 #ifndef CAMO_SERVER_PROTOCOL_H
@@ -31,35 +32,9 @@ namespace camo::server {
  *  a malformed or hostile frame. */
 inline constexpr std::uint32_t kMaxFrameBytes = 4u << 20;
 
-/** Bytes of the length prefix. */
-inline constexpr std::size_t kFrameHeaderBytes = 4;
-
-/** Encode `payload` as header + body, appended to `out`. */
-void encodeFrame(const std::string &payload, std::string *out);
-
-/** Decode a header from 4 raw bytes (little-endian). */
-std::uint32_t decodeFrameLength(const unsigned char *header);
-
-/** Outcome of a blocking frame read. */
-enum class ReadStatus
-{
-    Ok,
-    Eof,      ///< clean close before any header byte
-    Error,    ///< syscall failure or truncated frame
-    Oversize, ///< header announced more than kMaxFrameBytes
-};
-
-/**
- * Blocking write of one frame; retries short writes and EINTR.
- * Returns false on any unrecoverable error (EPIPE included — callers
- * must ignore SIGPIPE).
- */
-bool writeFrame(int fd, const std::string &payload);
-
-/** Blocking read of one complete frame into *payload. */
-ReadStatus readFrame(int fd, std::string *payload);
-
-/** Serialize a JSON document into one frame on `fd`. */
+/** Serialize a JSON document into one frame on `fd`. Returns false
+ *  on any unrecoverable error (EPIPE included — callers must ignore
+ *  SIGPIPE). */
 bool writeJson(int fd, const obs::json::Value &doc);
 
 /** Read one frame and parse it; nullopt on EOF/error/bad JSON. */

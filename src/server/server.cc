@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "src/common/frame.h"
 #include "src/server/protocol.h"
 
 namespace camo::server {
@@ -168,7 +169,7 @@ Server::readConn(int fd, Conn &conn)
         if (n == 0)
             return false; // EOF
         conn.in.append(buf, static_cast<std::size_t>(n));
-        if (conn.in.size() > kFrameHeaderBytes + kMaxFrameBytes) {
+        if (conn.in.size() > frame::kHeaderBytes + kMaxFrameBytes) {
             enqueue(fd, conn, errorResponse("frame too large"));
             conn.closeAfterFlush = true;
             return true;
@@ -176,8 +177,8 @@ Server::readConn(int fd, Conn &conn)
     }
     // Process every complete frame buffered so far.
     while (!conn.closeAfterFlush &&
-           conn.in.size() >= kFrameHeaderBytes) {
-        const std::uint32_t len = decodeFrameLength(
+           conn.in.size() >= frame::kHeaderBytes) {
+        const std::uint32_t len = frame::decodeLength(
             reinterpret_cast<const unsigned char *>(conn.in.data()));
         if (len > kMaxFrameBytes) {
             enqueue(fd, conn,
@@ -187,11 +188,11 @@ Server::readConn(int fd, Conn &conn)
             conn.closeAfterFlush = true;
             break;
         }
-        if (conn.in.size() < kFrameHeaderBytes + len)
+        if (conn.in.size() < frame::kHeaderBytes + len)
             break;
         const std::string payload =
-            conn.in.substr(kFrameHeaderBytes, len);
-        conn.in.erase(0, kFrameHeaderBytes + len);
+            conn.in.substr(frame::kHeaderBytes, len);
+        conn.in.erase(0, frame::kHeaderBytes + len);
         handleFrame(fd, conn, payload);
     }
     return true;
@@ -397,7 +398,7 @@ void
 Server::enqueue(int fd, Conn &conn, const obs::json::Value &doc)
 {
     (void)fd;
-    encodeFrame(doc.dump(), &conn.out);
+    frame::encode(doc.dump(), &conn.out);
 }
 
 bool

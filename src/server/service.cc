@@ -194,7 +194,7 @@ Service::runJob(Job &job)
 
         const WorkerResult r = runJobForked(
             job.spec, job.id, attempt, timeout_ms, diag_dir,
-            &job.cancelFlag, &job.childPid);
+            &job.cancelFlag);
 
         std::unique_lock<std::mutex> lk(m_);
         job.code = r.code;

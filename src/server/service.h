@@ -188,7 +188,6 @@ class Service
         std::uint64_t submitMs = 0;
         std::uint64_t endMs = 0;
         std::atomic<bool> cancelFlag{false};
-        std::atomic<pid_t> childPid{-1};
         /** Jobs joined to this leader single-flight. */
         std::vector<std::uint64_t> joiners;
     };

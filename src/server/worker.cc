@@ -1,14 +1,10 @@
 #include "src/server/worker.h"
 
-#include <cerrno>
-#include <chrono>
-#include <csignal>
 #include <memory>
 
-#include <poll.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
+#include "src/common/child.h"
 #include "src/hard/error.h"
 #include "src/hard/fault_injection.h"
 #include "src/server/protocol.h"
@@ -55,15 +51,6 @@ errorPayload(int code, const char *kind, const std::string &msg,
     if (!dump_path.empty())
         v["dump_path"] = dump_path;
     return v;
-}
-
-std::uint64_t
-nowMs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
 }
 
 } // namespace
@@ -158,119 +145,36 @@ runJobPayload(const JobSpec &spec, std::uint64_t job_id,
     }
 }
 
-namespace {
-
-[[noreturn]] void
-childMain(const JobSpec &spec, std::uint64_t job_id, unsigned attempt,
-          const std::string &diag_dir, int write_fd)
-{
-    // Drop every inherited descriptor except std streams and our
-    // pipe, so a dying child can't hold daemon sockets open.
-    if (write_fd != 3) {
-        ::dup2(write_fd, 3);
-        write_fd = 3;
-    }
-#if defined(__linux__)
-    ::close_range(4, ~0u, 0);
-#endif
-    const obs::json::Value payload =
-        runJobPayload(spec, job_id, attempt, diag_dir);
-    writeJson(write_fd, payload);
-    int code = kCodeRuntime;
-    if (const obs::json::Value *c = payload.find("code"))
-        code = static_cast<int>(c->asNumber());
-    // _exit, not exit: skip atexit hooks and (under ASan) leak
-    // checking — the parent classifies by payload, not teardown.
-    ::_exit(code);
-}
-
-} // namespace
-
 WorkerResult
 runJobForked(const JobSpec &spec, std::uint64_t job_id,
              unsigned attempt, std::uint64_t timeout_ms,
              const std::string &diag_dir,
-             const std::atomic<bool> *cancel,
-             std::atomic<pid_t> *child_pid)
+             const std::atomic<bool> *cancel)
 {
+    const child::Result c = child::run(
+        [&] {
+            const obs::json::Value payload =
+                runJobPayload(spec, job_id, attempt, diag_dir);
+            int code = kCodeRuntime;
+            if (const obs::json::Value *v = payload.find("code"))
+                code = static_cast<int>(v->asNumber());
+            return child::Reply{payload.dump(), code};
+        },
+        kMaxFrameBytes, timeout_ms, cancel);
+
     WorkerResult r;
-    int fds[2];
-    if (::pipe(fds) != 0) {
-        r.outcome = WorkerOutcome::Crashed;
-        r.crashDetail = "pipe() failed";
+    if (c.ending == child::Ending::SpawnFailed) {
+        r.crashDetail = c.spawnError;
+        r.error = "worker crashed (" + r.crashDetail + ")";
         return r;
     }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        r.outcome = WorkerOutcome::Crashed;
-        r.crashDetail = "fork() failed";
-        return r;
-    }
-    if (pid == 0) {
-        ::close(fds[0]);
-        childMain(spec, job_id, attempt, diag_dir, fds[1]);
-    }
-    ::close(fds[1]);
-    if (child_pid)
-        child_pid->store(pid, std::memory_order_relaxed);
-
-    // Drain the pipe until EOF, watching the deadline and the cancel
-    // flag. The child is tiny-output (one frame), so a blocking-ish
-    // poll loop with 20 ms slices is plenty.
-    const std::uint64_t start = nowMs();
-    std::string raw;
-    bool killed_deadline = false;
-    bool killed_cancel = false;
-    char buf[4096];
-    for (;;) {
-        if (!killed_deadline && !killed_cancel) {
-            if (cancel && cancel->load(std::memory_order_relaxed)) {
-                ::kill(pid, SIGKILL);
-                killed_cancel = true;
-            } else if (timeout_ms > 0 &&
-                       nowMs() - start >= timeout_ms) {
-                ::kill(pid, SIGKILL);
-                killed_deadline = true;
-            }
-        }
-        struct pollfd pfd = {fds[0], POLLIN, 0};
-        const int pr = ::poll(&pfd, 1, 20);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (pr == 0)
-            continue;
-        const ssize_t n = ::read(fds[0], buf, sizeof buf);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (n == 0)
-            break; // EOF: child exited (or was killed)
-        raw.append(buf, static_cast<std::size_t>(n));
-        if (raw.size() > kFrameHeaderBytes + kMaxFrameBytes)
-            break; // runaway child; classify as crash below
-    }
-    ::close(fds[0]);
-
-    int wstatus = 0;
-    while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
-    if (child_pid)
-        child_pid->store(-1, std::memory_order_relaxed);
-
-    if (killed_cancel) {
+    if (c.ending == child::Ending::Canceled) {
         r.outcome = WorkerOutcome::Canceled;
         r.kind = "canceled";
         r.error = "canceled while running";
         return r;
     }
-    if (killed_deadline) {
+    if (c.ending == child::Ending::Deadline) {
         r.outcome = WorkerOutcome::Deadline;
         r.kind = "deadline";
         r.error = "wall-clock deadline (" +
@@ -281,25 +185,18 @@ runJobForked(const JobSpec &spec, std::uint64_t job_id,
     // Classify strictly by the payload. No parseable payload — for
     // any reason — is a crash.
     std::optional<obs::json::Value> payload;
-    if (raw.size() >= kFrameHeaderBytes) {
-        const std::uint32_t len = decodeFrameLength(
-            reinterpret_cast<const unsigned char *>(raw.data()));
-        if (len <= kMaxFrameBytes &&
-            raw.size() == kFrameHeaderBytes + len) {
-            payload = obs::json::tryParse(
-                raw.substr(kFrameHeaderBytes, len));
-        }
-    }
+    if (c.ending == child::Ending::Frame)
+        payload = obs::json::tryParse(c.payload);
     if (!payload || !payload->isObject() || !payload->find("code")) {
         r.outcome = WorkerOutcome::Crashed;
         r.code = kCodeRuntime;
         r.kind = "crash";
-        if (WIFSIGNALED(wstatus)) {
+        if (WIFSIGNALED(c.status)) {
             r.crashDetail =
-                "signal " + std::to_string(WTERMSIG(wstatus));
-        } else if (WIFEXITED(wstatus)) {
+                "signal " + std::to_string(WTERMSIG(c.status));
+        } else if (WIFEXITED(c.status)) {
             r.crashDetail = "exit " +
-                            std::to_string(WEXITSTATUS(wstatus)) +
+                            std::to_string(WEXITSTATUS(c.status)) +
                             " without payload";
         } else {
             r.crashDetail = "unknown child status";

@@ -2,15 +2,17 @@
  * @file
  * Crash-isolated job execution for the camosimd daemon.
  *
- * Every attempt of every job runs in a forked child: the child
- * builds the System, runs it, serializes the same summary document
- * `camosim --stats-json` writes, sends it up a pipe as a structured
- * payload, and _exit()s. The parent classifies strictly by what came
- * back: a parseable payload is a structured outcome (success or a
- * typed simulator error); anything else — SIGSEGV, abort, _exit
- * without a payload, a corrupted pipe — is a crash. A crash is a
- * fact about the job, never about the daemon: the supervisor thread
- * that called wait() keeps running no matter how the child died.
+ * Every attempt of every job runs in a forked child (camo::child, the
+ * simulator's one process primitive): the child builds the System,
+ * runs it, serializes the same summary document `camosim
+ * --stats-json` writes, sends it up a pipe as a structured payload,
+ * and _exit()s with the camosim exit code. The parent classifies
+ * strictly by what came back: a parseable payload is a structured
+ * outcome (success or a typed simulator error); anything else —
+ * SIGSEGV, abort, _exit without a payload, a corrupted pipe — is a
+ * crash. A crash is a fact about the job, never about the daemon: the
+ * supervisor thread that called wait() keeps running no matter how
+ * the child died.
  *
  * The parent enforces a wall-clock deadline and a cancel flag by
  * SIGKILLing the child; both are terminal classifications, not
@@ -23,8 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-
-#include <sys/types.h>
 
 #include "src/server/job.h"
 
@@ -71,16 +71,13 @@ struct WorkerResult
  *                 matching the in-process parallel engine
  * @param timeout_ms wall-clock deadline (0 = none)
  * @param diag_dir  System diagnostic-dump directory ("" = stderr)
- * @param cancel   polled ~every 20 ms; kills the child when set
- *                 (may be null)
- * @param child_pid published while the child runs (may be null);
- *                 reset to -1 before wait returns
+ * @param cancel   polled every child::kPollSliceMs; kills the child
+ *                 when set (may be null)
  */
 WorkerResult runJobForked(const JobSpec &spec, std::uint64_t job_id,
                           unsigned attempt, std::uint64_t timeout_ms,
                           const std::string &diag_dir,
-                          const std::atomic<bool> *cancel,
-                          std::atomic<pid_t> *child_pid);
+                          const std::atomic<bool> *cancel);
 
 /**
  * The child-side body of runJobForked, exposed for direct unit

@@ -3,15 +3,12 @@
 #include <bit>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <string>
 
-#include <sys/types.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
-#include "src/common/frame.h"
+#include "src/common/child.h"
 #include "src/common/logging.h"
 #include "src/hard/error.h"
 #include "src/obs/json.h"
@@ -164,123 +161,76 @@ rethrowChildError(const Value &err)
     throw hard::TransientFault(msg);
 }
 
-int
-waitChild(pid_t pid)
+/** The child side of one shard: run `body(shard)` and stamp its
+ *  result object, or the error it threw (kind + message), with the
+ *  shard's token. */
+std::string
+shardPayload(const std::function<Value(unsigned)> &body, unsigned shard,
+             const std::string &token)
 {
-    int status = 0;
-    for (;;) {
-        const pid_t r = ::waitpid(pid, &status, 0);
-        if (r == pid)
-            return status;
-        if (r < 0 && errno == EINTR)
-            continue;
-        return -1;
+    Value v = Value::makeObject();
+    try {
+        v = body(shard);
+    } catch (const std::exception &e) {
+        const auto *ce = dynamic_cast<const hard::CamoError *>(&e);
+        v["error"] = Value::makeObject();
+        v["error"]["kind"] =
+            Value(ce ? hard::errorKindName(ce->kind()) : "transient");
+        v["error"]["message"] = Value(std::string(e.what()));
     }
+    v["token"] = Value(token);
+    return v.dump();
 }
 
 /**
- * Fork one child per shard, run `body(shard)` in it, and return each
- * shard's authenticated payload in shard order. The child's result
- * object (or the error it threw, kind + message) crosses its pipe as
- * one length-prefixed JSON frame stamped with
- * deriveSeed(auth_base, kShardSeedStream, shard); the child then
- * _exit()s without running destructors or atexit hooks (the plan and
- * batch copies die with the address space). Every child is read and
- * reaped before the first failure is thrown, so an early bad shard
- * never leaks processes.
+ * Fork one child per shard (camo::child), run `body(shard)` in it, and
+ * return each shard's authenticated payload in shard order. The
+ * child's payload is stamped with deriveSeed(auth_base,
+ * kShardSeedStream, shard). Every child is spawned before any is
+ * collected, and every child is collected and reaped before the first
+ * failure is thrown, so an early bad shard never leaks processes.
  */
 std::vector<Value>
 collectShardFrames(unsigned shards, std::uint64_t auth_base,
                    const std::function<Value(unsigned)> &body)
 {
-    std::vector<pid_t> pids;
-    std::vector<int> rfds;
-    pids.reserve(shards);
-    rfds.reserve(shards);
+    std::vector<child::Child> kids;
+    kids.reserve(shards);
     for (unsigned s = 0; s < shards; ++s) {
-        int fds[2] = {-1, -1};
-        pid_t pid = -1;
-        if (::pipe(fds) == 0) {
-            pid = ::fork();
-        } else {
-            fds[0] = fds[1] = -1;
-        }
-        if (pid == 0) {
-            // Child: only this thread survives the fork. Produce the
-            // payload, push one frame, and vanish without cleanup.
-            ::close(fds[0]);
-            const std::string token =
-                u64Str(deriveSeed(auth_base, kShardSeedStream, s));
-            std::string payload;
-            try {
-                Value v = body(s);
-                v["token"] = Value(token);
-                payload = v.dump();
-            } catch (const hard::CamoError &e) {
-                Value v = Value::makeObject();
-                v["token"] = Value(token);
-                v["error"] = Value::makeObject();
-                v["error"]["kind"] =
-                    Value(hard::errorKindName(e.kind()));
-                v["error"]["message"] = Value(std::string(e.what()));
-                payload = v.dump();
-            } catch (const std::exception &e) {
-                Value v = Value::makeObject();
-                v["token"] = Value(token);
-                v["error"] = Value::makeObject();
-                v["error"]["kind"] = Value("transient");
-                v["error"]["message"] = Value(std::string(e.what()));
-                payload = v.dump();
-            }
-            frame::writeFrame(fds[1], payload, kShardFrameCap);
-            ::_exit(0);
-        }
-        if (pid < 0) {
-            // pipe() or fork() failed: abandon the spawn, drain what
-            // already started, and report the resource failure.
-            const int err = errno;
-            if (fds[0] >= 0)
-                ::close(fds[0]);
-            if (fds[1] >= 0)
-                ::close(fds[1]);
-            for (unsigned t = 0; t < pids.size(); ++t) {
-                ::close(rfds[t]);
-                waitChild(pids[t]);
-            }
-            throw hard::TransientFault(
-                std::string("shard spawn failed: ") +
-                std::strerror(err));
-        }
-        ::close(fds[1]);
-        pids.push_back(pid);
-        rfds.push_back(fds[0]);
+        const std::string token =
+            u64Str(deriveSeed(auth_base, kShardSeedStream, s));
+        kids.emplace_back(
+            [&, s, token] {
+                return child::Reply{shardPayload(body, s, token)};
+            },
+            kShardFrameCap);
+        // A failed spawn throws; the Child destructors kill and reap
+        // the shards already started.
+        if (!kids.back().spawnError().empty())
+            throw hard::TransientFault("shard spawn failed: " +
+                                       kids.back().spawnError());
     }
 
-    // Read and reap every shard before judging any of them: children
-    // are independent, and each must be collected even if an earlier
-    // one failed.
-    std::vector<std::string> payloads(shards);
-    std::vector<frame::ReadStatus> statuses(shards);
-    std::vector<int> waits(shards);
-    for (unsigned s = 0; s < shards; ++s) {
-        statuses[s] =
-            frame::readFrame(rfds[s], &payloads[s], kShardFrameCap);
-        ::close(rfds[s]);
-        waits[s] = waitChild(pids[s]);
-    }
+    // Collect every shard before judging any of them: children are
+    // independent, and each must be reaped even if an earlier one
+    // failed.
+    std::vector<child::Result> ends;
+    ends.reserve(shards);
+    for (child::Child &k : kids)
+        ends.push_back(k.collect());
 
     std::vector<Value> out;
     out.reserve(shards);
     for (unsigned s = 0; s < shards; ++s) {
-        if (statuses[s] != frame::ReadStatus::Ok) {
-            if (waits[s] >= 0 && WIFSIGNALED(waits[s]))
+        if (ends[s].ending != child::Ending::Frame) {
+            if (WIFSIGNALED(ends[s].status))
                 failShardFrame(
                     s, std::string("child killed by signal ") +
-                           std::to_string(WTERMSIG(waits[s])));
+                           std::to_string(WTERMSIG(ends[s].status)));
             failShardFrame(s, "no result frame (child crashed or "
                               "truncated its output)");
         }
-        std::optional<Value> v = obs::json::tryParse(payloads[s]);
+        std::optional<Value> v = obs::json::tryParse(ends[s].payload);
         if (!v || !v->isObject())
             failShardFrame(s, "malformed result frame");
         const std::uint64_t want =

@@ -5,9 +5,10 @@
  *
  * Threads share one heap and one allocator; past a few workers the
  * sweep stops scaling on allocator and page-cache contention.
- * Sharding sidesteps that the way camosimd's crash isolation (PR 8)
- * does — with processes: the batch is split round-robin over N forked
- * children (shard s owns indices i with i % procs == s), each child
+ * Sharding sidesteps that the way camosimd's crash isolation does —
+ * with processes, through the same primitive (src/common/child.h):
+ * the batch is split round-robin over N forked children (shard s owns
+ * indices i with i % procs == s), each child
  * runs its subset with the ordinary in-process engine
  * (runConfigsParallel / evaluateGenerationParallel) and writes ONE
  * length-prefixed JSON frame (src/common/frame.h) on its pipe, then

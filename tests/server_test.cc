@@ -20,6 +20,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "src/common/frame.h"
 #include "src/server/job.h"
 #include "src/server/protocol.h"
 #include "src/server/service.h"
@@ -108,13 +109,13 @@ TEST(Protocol, FrameRoundTripOverSocketpair)
 
 TEST(Protocol, HeaderEncodingIsLittleEndianAndExact)
 {
-    std::string frame;
-    encodeFrame("abc", &frame);
-    ASSERT_EQ(frame.size(), kFrameHeaderBytes + 3);
+    std::string wire;
+    frame::encode("abc", &wire);
+    ASSERT_EQ(wire.size(), frame::kHeaderBytes + 3);
     const auto *raw =
-        reinterpret_cast<const unsigned char *>(frame.data());
-    EXPECT_EQ(decodeFrameLength(raw), 3u);
-    EXPECT_EQ(frame.substr(kFrameHeaderBytes), "abc");
+        reinterpret_cast<const unsigned char *>(wire.data());
+    EXPECT_EQ(frame::decodeLength(raw), 3u);
+    EXPECT_EQ(wire.substr(frame::kHeaderBytes), "abc");
 }
 
 TEST(Protocol, OversizeAndTruncatedFramesAreClassified)
@@ -125,14 +126,16 @@ TEST(Protocol, OversizeAndTruncatedFramesAreClassified)
     const unsigned char huge[4] = {0xff, 0xff, 0xff, 0x7f};
     ASSERT_EQ(::send(fds[0], huge, sizeof huge, 0), 4);
     std::string payload;
-    EXPECT_EQ(readFrame(fds[1], &payload), ReadStatus::Oversize);
+    EXPECT_EQ(frame::readFrame(fds[1], &payload, kMaxFrameBytes),
+              frame::ReadStatus::Oversize);
 
     // Truncated body then EOF: an error, not a hang.
     const unsigned char hdr[4] = {100, 0, 0, 0};
     ASSERT_EQ(::send(fds[0], hdr, sizeof hdr, 0), 4);
     ASSERT_EQ(::send(fds[0], "abc", 3, 0), 3);
     ::close(fds[0]);
-    EXPECT_EQ(readFrame(fds[1], &payload), ReadStatus::Error);
+    EXPECT_EQ(frame::readFrame(fds[1], &payload, kMaxFrameBytes),
+              frame::ReadStatus::Error);
     ::close(fds[1]);
 }
 
@@ -153,6 +156,12 @@ TEST(JobSpecModel, FromJsonIsStrict)
     doc["cylces"] = std::uint64_t{1};
     EXPECT_FALSE(JobSpec::fromJson(doc, &spec, &err));
     EXPECT_NE(err.find("cylces"), std::string::npos);
+    // So is a knob the daemon never honoured.
+    obs::json::Value shard = obs::json::Value::makeObject();
+    shard["config"] = smallConfig();
+    shard["shard_procs"] = std::uint64_t{2};
+    EXPECT_FALSE(JobSpec::fromJson(shard, &spec, &err));
+    EXPECT_NE(err.find("shard_procs"), std::string::npos);
 
     // Wrong types are rejected.
     obs::json::Value bad = obs::json::Value::makeObject();
@@ -258,7 +267,7 @@ TEST(Worker, ForkedCrashIsIsolatedAndClassified)
     spec.crashAttempts = 1; // attempt 0 takes a real SIGSEGV
     std::atomic<bool> cancel{false};
     const WorkerResult crashed =
-        runJobForked(spec, 1, 0, 30000, "", &cancel, nullptr);
+        runJobForked(spec, 1, 0, 30000, "", &cancel);
     EXPECT_EQ(crashed.outcome, WorkerOutcome::Crashed);
     // Plain builds die on the signal; sanitized builds intercept the
     // SEGV and _exit without a payload. Both classify as crashed.
@@ -269,7 +278,7 @@ TEST(Worker, ForkedCrashIsIsolatedAndClassified)
 
     // The same spec on attempt 1 is past its crash budget: succeeds.
     const WorkerResult ok =
-        runJobForked(spec, 1, 1, 30000, "", &cancel, nullptr);
+        runJobForked(spec, 1, 1, 30000, "", &cancel);
     EXPECT_EQ(ok.outcome, WorkerOutcome::Success);
     EXPECT_FALSE(ok.result.empty());
 }
@@ -278,7 +287,7 @@ TEST(Worker, ForkedDeadlineAndCancelKillTheChild)
 {
     std::atomic<bool> cancel{false};
     const WorkerResult dl = runJobForked(longSpec(6), 2, 0, 200, "",
-                                         &cancel, nullptr);
+                                         &cancel);
     EXPECT_EQ(dl.outcome, WorkerOutcome::Deadline);
 
     std::atomic<bool> cancelNow{false};
@@ -287,7 +296,7 @@ TEST(Worker, ForkedDeadlineAndCancelKillTheChild)
         cancelNow.store(true);
     });
     const WorkerResult cx = runJobForked(longSpec(7), 3, 0, 60000,
-                                         "", &cancelNow, nullptr);
+                                         "", &cancelNow);
     flipper.join();
     EXPECT_EQ(cx.outcome, WorkerOutcome::Canceled);
 }
@@ -298,10 +307,10 @@ TEST(Worker, TransientInjectionIsReportedAsTransient)
     spec.inject = "worker-kill:param=1";
     std::atomic<bool> cancel{false};
     const WorkerResult first =
-        runJobForked(spec, 4, 0, 30000, "", &cancel, nullptr);
+        runJobForked(spec, 4, 0, 30000, "", &cancel);
     EXPECT_EQ(first.outcome, WorkerOutcome::Transient);
     const WorkerResult second =
-        runJobForked(spec, 4, 1, 30000, "", &cancel, nullptr);
+        runJobForked(spec, 4, 1, 30000, "", &cancel);
     EXPECT_EQ(second.outcome, WorkerOutcome::Success);
 }
 
